@@ -39,8 +39,8 @@ def main(argv):
     except (subprocess.CalledProcessError, OSError) as err:
         sys.exit(f"perfbench: build failed: {err}")
     if argv == ["--selftest"]:
-        return subprocess.run(
-            [os.path.join(build_dir, "perfbench_selftest")]).returncode
+        return subprocess.run([os.path.join(build_dir, "perfbench_selftest")],
+                              cwd=ROOT).returncode
     work_dir = os.path.join(build_dir, "perfbench-work")
     cmd = [os.path.join(build_dir, "perfbench"), *argv, "--work-dir", work_dir]
     return subprocess.run(cmd, cwd=ROOT).returncode

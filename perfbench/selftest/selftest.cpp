@@ -82,7 +82,7 @@ int main() {
          check_k_history_equal(history, history_ulp));
 
   const double k_inf = closed_form_k_inf(
-      unsnap::xs::read_library_text(criticality_library()), "fuel");
+      unsnap::xs::read_library_file(kCriticalityLibrary), "fuel");
   std::printf("closed-form k_inf of the fuel: %.17g\n", k_inf);
   expect("k: off by 1e-6 from the closed form",
          check_k(0.9999999999832095, k_inf), check_k(k_inf + 1e-6, k_inf));

@@ -50,7 +50,8 @@ struct DeckSpec {
 /// GMRES inners at c = 0.95.
 [[nodiscard]] DeckSpec high_order(std::uint64_t seed);
 
-/// keff: the shipped two-group fuel-in-water criticality problem against
+/// keff: the shipped two-group fuel-in-water criticality problem
+/// (decks/criticality.inp's values, with a seeded shuffle_seed) against
 /// the library at `library_path`.
 [[nodiscard]] DeckSpec criticality(std::uint64_t seed,
                                    const std::string& library_path);
@@ -59,9 +60,9 @@ struct DeckSpec {
 /// is the fuel's closed-form k_inf.
 [[nodiscard]] DeckSpec criticality_infinite(const std::string& library_path);
 
-/// The shipped criticality library (decks/xs/criticality.xs): fuel with
-/// k_inf exactly 1, and water.
-[[nodiscard]] const char* criticality_library();
+/// The shipped criticality library, relative to the repository root:
+/// fuel with k_inf exactly 1, and water.
+inline constexpr const char* kCriticalityLibrary = "decks/xs/criticality.xs";
 
 /// serve-mix: rounds of kRoundSize submissions. Sixteen per round repeat
 /// four decks (a small fixed-source solve, MMS order 2 at 2^3 and 4^3, a

@@ -15,9 +15,6 @@ namespace perfbench {
 
 using Clock = std::chrono::steady_clock;
 
-/// Taken during static initialisation, before main(): the reference
-/// point of every cold set-up time.
-[[nodiscard]] Clock::time_point process_entry();
 [[nodiscard]] double seconds_between(Clock::time_point a,
                                      Clock::time_point b);
 
@@ -54,7 +51,7 @@ struct SolveOutcome {
   unsnap::api::RunRecord record;
   double wall_s = 0.0;     // deck text in -> RunRecord JSON written
   double latency_s = 0.0;  // deck text in -> RunRecord returned
-  Clock::time_point first_outer{};  // first on_outer_begin
+  double setup_s = 0.0;    // deck text in -> first on_outer_begin
   Phases phases;
 };
 

@@ -62,7 +62,7 @@ void Daemon::wait_ready(double timeout_s) const {
       throw std::runtime_error("unsnapd exited during start-up");
     if (seconds_between(t0, Clock::now()) > timeout_s)
       throw std::runtime_error("unsnapd did not answer ping");
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }
 
@@ -95,7 +95,7 @@ int Daemon::stop() {
 }
 
 Submission submit(const std::string& socket_path,
-                  const std::string& deck_text, bool poll_tightly) {
+                  const std::string& deck_text) {
   Submission s;
   const Clock::time_point t0 = Clock::now();
   unsnap::serve::Client client =
@@ -103,15 +103,7 @@ Submission submit(const std::string& socket_path,
   const Clock::time_point t_connected = Clock::now();
   const std::string id = client.submit(deck_text);
   const Clock::time_point t_submitted = Clock::now();
-  unsnap::serve::RunState state = unsnap::serve::RunState::Queued;
-  if (poll_tightly) {
-    while (!unsnap::serve::is_terminal(
-        state = unsnap::serve::run_state_from_string(
-            client.status(id).get_string("state"))))
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-  } else {
-    state = client.await_terminal(id);
-  }
+  const unsnap::serve::RunState state = client.await_terminal(id);
   const Clock::time_point t_terminal = Clock::now();
   unsnap::util::JsonValue envelope = client.result(id);
   const Clock::time_point t_result = Clock::now();

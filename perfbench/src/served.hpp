@@ -38,9 +38,7 @@ class Daemon {
 };
 
 /// One closed-loop submission over its own connection: connect, submit,
-/// await_terminal, fetch the result, close. `poll_tightly` replaces
-/// await_terminal's backoff with a 200 us status poll (set-up only, where
-/// the backoff's steps would make the set-up time jump).
+/// await_terminal, fetch the result, close.
 struct Submission {
   double first_reply_s = 0.0;  // connect -> submit reply
   double latency_s = 0.0;      // submit reply -> await_terminal returns
@@ -53,7 +51,6 @@ struct Submission {
 };
 
 [[nodiscard]] Submission submit(const std::string& socket_path,
-                                const std::string& deck_text,
-                                bool poll_tightly = false);
+                                const std::string& deck_text);
 
 }  // namespace perfbench

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -38,13 +37,13 @@ std::string socket_path(const Options& o) {
   return std::filesystem::relative(o.work_dir + "/unsnapd.sock").string();
 }
 
-std::string write_library(const Options& o) {
-  const std::string path =
-      std::filesystem::absolute(o.work_dir + "/criticality.xs").string();
-  std::ofstream out(path, std::ios::trunc);
-  out << criticality_library();
-  if (!out) throw std::runtime_error("cannot write " + path);
-  return path;
+/// The repository's criticality library, absolute so that the daemon of
+/// a served pass finds it too.
+std::string library_path() {
+  if (!std::filesystem::is_regular_file(kCriticalityLibrary))
+    throw std::runtime_error(std::string("no ") + kCriticalityLibrary +
+                             " below the working directory");
+  return std::filesystem::absolute(kCriticalityLibrary).string();
 }
 
 DeckSpec workload_deck(const Options& o, const std::string& library) {
@@ -86,7 +85,7 @@ Result measure_solves(const Options& o, const DeckSpec& spec,
   const std::string json = o.work_dir + "/record.json";
   std::vector<double> walls, latencies;
   std::optional<RunRecord> reference;
-  double setup_s = 0.0;
+  double setup_s = 0.0, rss_mb = 0.0;
   const Clock::time_point t0 = Clock::now();
   Clock::time_point t_end = t0;
   do {
@@ -96,7 +95,13 @@ Result measure_solves(const Options& o, const DeckSpec& spec,
       check_solve(r, spec, s.record, reference ? &*reference : nullptr,
                   "solve " + std::to_string(r.attempted));
       if (!reference) {
-        setup_s = seconds_between(process_entry(), s.first_outer);
+        // One cold set-up per process: later solves find warm caches,
+        // faulted-in pages and a running OpenMP team.
+        setup_s = s.setup_s;
+        // Peak memory of one solve. Repeated solves in one process raise
+        // VmHWM further on some runs and not on others (37 MB after one
+        // fixed-source solve, 39 or 56 MB after eight).
+        rss_mb = peak_rss_mb();
         reference = std::move(s.record);
       }
       walls.push_back(s.wall_s);
@@ -114,8 +119,8 @@ Result measure_solves(const Options& o, const DeckSpec& spec,
     const DeckSpec inf = criticality_infinite(library);
     const SolveOutcome s = solve_deck(render(inf), json);
     check_solve(r, inf, s.record, nullptr, "k_inf solve");
-    const double k_inf = closed_form_k_inf(
-        unsnap::xs::read_library_text(criticality_library()), "fuel");
+    const double k_inf =
+        closed_form_k_inf(unsnap::xs::read_library_file(library), "fuel");
     r.check(s.record.keff ? check_k(s.record.keff->k, k_inf)
                           : "record lacks a keff block",
             "k_inf solve");
@@ -124,7 +129,7 @@ Result measure_solves(const Options& o, const DeckSpec& spec,
   r.add("wall_s", median(walls), "s");
   r.add("setup_s", setup_s, "s");
   r.add("sweeps", reference->iteration->sweeps, "count");
-  r.add("peak_rss_mb", peak_rss_mb(), "MB");
+  r.add("peak_rss_mb", rss_mb, "MB");
   r.add("served_runs_per_s",
         static_cast<double>(walls.size()) / seconds_between(t0, t_end),
         "runs/s");
@@ -386,21 +391,22 @@ Result serve_mix(const Options& o) {
   std::vector<std::string> repeats;
   for (const DeckSpec& s : repeat_specs) repeats.push_back(render(s));
 
+  // Set-up: the daemon's cold start, from its spawn until it answers
+  // ping. The cache warm-up after it is not timed: each warm submission
+  // ends on one of await_terminal's poll steps (up to 100 ms apart), so
+  // its sum jumps between runs by whole steps.
+  const Clock::time_point t_spawn = Clock::now();
   Daemon daemon(PERFBENCH_UNSNAPD, socket_path(o),
                 o.work_dir + "/unsnapd.log");
   daemon.wait_ready(60.0);
-  log("unsnapd answers ping " +
-      std::to_string(seconds_between(process_entry(), Clock::now())) +
-      " s after process entry");
-  // Set-up ends with every repeat deck lowered once (the cache warm).
+  const double setup_s = seconds_between(t_spawn, Clock::now());
   std::vector<Slot> slots;
   for (std::size_t i = 0; i < repeats.size(); ++i) {
     Slot warm{-1 - static_cast<long>(i), false,
-              submit(daemon.socket_path(), repeats[i], true)};
+              submit(daemon.socket_path(), repeats[i])};
     warm.ok = warm.sub.done;
     slots.push_back(std::move(warm));
   }
-  const double setup_s = seconds_between(process_entry(), Clock::now());
   const long polls0 = status_requests(daemon.stats());
 
   // Closed loop: nproc clients, each submission on its own connection;
@@ -464,18 +470,6 @@ Result serve_mix(const Options& o) {
       slots.push_back(std::move(s));
     }
   if (window.empty()) throw std::runtime_error("no submission succeeded");
-  {
-    // Per-submission log of the window, for looking into the tail.
-    std::ofstream csv(o.work_dir + "/serve-mix.csv", std::ios::trunc);
-    csv << "index,repeat,cache_hit,first_reply_s,latency_s,queued_s,run_s,"
-           "wall_s\n";
-    for (const Slot& s : slots)
-      if (s.index >= 0)
-        csv << s.index << ',' << repeat_slot(s.index) << ','
-            << s.sub.cache_hit << ',' << s.sub.first_reply_s << ','
-            << s.sub.latency_s << ',' << s.sub.queued_s << ',' << s.sub.run_s
-            << ',' << s.sub.wall_s << '\n';
-  }
   const long rounds = r.attempted / kRoundSize;
 
   // Every served record against the same deck run in-process.
@@ -549,7 +543,7 @@ Result serve_mix(const Options& o) {
 
 Result run_workload(const Options& o) {
   if (o.workload == "serve-mix") return serve_mix(o);
-  const std::string library = write_library(o);
+  const std::string library = library_path();
   const DeckSpec spec = workload_deck(o, library);
   return o.trace ? trace_solves(o, spec) : measure_solves(o, spec, library);
 }
