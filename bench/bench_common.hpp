@@ -43,7 +43,8 @@ inline std::vector<int> default_thread_list() {
 
 /// The six loop-order/threading schemes of Figures 3 and 4: {data layout}
 /// x {which loops are threaded}. Labels follow the paper's legend with the
-/// threaded loops marked in brackets.
+/// threaded loops marked in brackets. elements-groups threads whole
+/// directions where the paper collapsed the element and group loops.
 struct FigureScheme {
   const char* label;
   snap::FluxLayout layout;
@@ -54,13 +55,13 @@ inline const std::vector<FigureScheme>& figure_schemes() {
   static const std::vector<FigureScheme> schemes = {
       {"angle/[element]/group", snap::FluxLayout::AngleElementGroup,
        snap::ConcurrencyScheme::Elements},
-      {"angle/[element]/[group]", snap::FluxLayout::AngleElementGroup,
+      {"[angle]/element/group", snap::FluxLayout::AngleElementGroup,
        snap::ConcurrencyScheme::ElementsGroups},
       {"angle/element/[group]", snap::FluxLayout::AngleElementGroup,
        snap::ConcurrencyScheme::Groups},
       {"angle/group/[element]", snap::FluxLayout::AngleGroupElement,
        snap::ConcurrencyScheme::Elements},
-      {"angle/[group]/[element]", snap::FluxLayout::AngleGroupElement,
+      {"[angle]/group/element", snap::FluxLayout::AngleGroupElement,
        snap::ConcurrencyScheme::ElementsGroups},
       {"angle/[group]/element", snap::FluxLayout::AngleGroupElement,
        snap::ConcurrencyScheme::Groups},

@@ -71,8 +71,10 @@ int main(int argc, char** argv) {
   if (!cli.get("csv").empty()) table.write_csv(cli.get("csv"));
 
   std::printf(
-      "\nExpected shape (paper Fig. 3): collapsed angle/[element]/[group]\n"
-      "fastest at full thread count; angle/group/element layouts slower,\n"
-      "especially element-threaded at high thread counts.\n");
+      "\nExpected shape (paper Fig. 3): the paper's collapsed\n"
+      "angle/[element]/[group] was fastest at full thread count; here the\n"
+      "direction-threaded [angle]/element/group arm stands in for it.\n"
+      "angle/group/element layouts slower, especially element-threaded at\n"
+      "high thread counts.\n");
   return 0;
 }

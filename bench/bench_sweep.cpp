@@ -9,12 +9,16 @@
 // agree with the first cell's within the golden tolerance — drift in
 // any layout/scheme/solver/preassembly combination fails the run with a
 // non-zero exit, which is what the sweep-bench-smoke CI job checks.
+// Beside the battery's thread counts, the default elements-groups scheme
+// gets a thread ladder (2 threads and all cores), so its scaling is a
+// tracked number.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/run.hpp"
@@ -51,13 +55,20 @@ int main(int argc, char** argv) {
   cli.option("nang", "4", "angles per octant");
   cli.option("ng", "2", "energy groups");
   cli.option("inners", "4", "fixed inner iterations per outer");
-  cli.option("threads", "", "comma list of thread counts (default: all cores)");
+  cli.option("threads", "1", "comma list of thread counts for every cell");
   cli.option("out", "BENCH_sweep.json", "output JSON path");
   if (!cli.parse(argc, argv)) return 0;
 
-  const std::vector<int> thread_axis =
-      cli.get("threads").empty() ? std::vector<int>{omp_get_num_procs()}
-                                 : parse_thread_list(cli.get("threads"));
+  const std::vector<int> thread_axis = parse_thread_list(cli.get("threads"));
+  // (threads, elements-groups only) rows: the battery, then the ladder at
+  // 2 threads and all cores where the battery does not already run them.
+  std::vector<std::pair<int, bool>> rows;
+  for (const int t : thread_axis) rows.emplace_back(t, false);
+  for (const int t : {2, omp_get_num_procs()})
+    if (t <= omp_get_num_procs() &&
+        std::none_of(rows.begin(), rows.end(),
+                     [t](const auto& row) { return row.first == t; }))
+      rows.emplace_back(t, true);
 
   api::RunConfig config;
   config.mesh = {.dims = {cli.get_int("nx"), cli.get_int("nx"),
@@ -114,10 +125,13 @@ int main(int argc, char** argv) {
   bool drift = false;
   double best_none = 0.0, best_inverse = 0.0;
 
-  for (const int threads : thread_axis)
+  for (const auto& [threads, ladder_only] : rows)
     for (const auto& kernel : kernels)
       for (const linalg::SolverKind solver : solvers)
         for (const snap::PreassemblyMode mode : modes) {
+          if (ladder_only &&
+              kernel.scheme != snap::ConcurrencyScheme::ElementsGroups)
+            continue;
           config.execution.layout = kernel.layout;
           config.execution.scheme = kernel.scheme;
           config.execution.solver = solver;
@@ -154,9 +168,10 @@ int main(int argc, char** argv) {
               solves / std::max(cell.assemble_solve_seconds, 1e-12);
           cell.per_thread = cell.elements_per_second / threads;
           cells.push_back(cell);
-          if (mode == snap::PreassemblyMode::None)
+          // The preassembly comparison reads the battery rows only.
+          if (!ladder_only && mode == snap::PreassemblyMode::None)
             best_none = std::max(best_none, cell.elements_per_second);
-          if (mode == snap::PreassemblyMode::ExplicitInverse)
+          if (!ladder_only && mode == snap::PreassemblyMode::ExplicitInverse)
             best_inverse = std::max(best_inverse, cell.elements_per_second);
 
           // Correctness gate: identical physics in every cell.

@@ -158,10 +158,25 @@ void Assembler::assemble_rhs(AssemblyContext& ctx, const SweepState& state,
   }
 }
 
+void accumulate_flux(const SweepState& state, int e, int g, int n,
+                     const double* psi, double weight) {
+  double* ph = state.phi->at(e, g);
+#pragma omp simd
+  for (int i = 0; i < n; ++i) ph[i] += weight * psi[i];
+  if (state.phi_hi != nullptr) {
+    for (int m = 1; m < state.moment_count; ++m) {
+      const double c = weight * state.ylm_acc[m];
+      double* pm = (*state.phi_hi)[m - 1].at(e, g);
+#pragma omp simd
+      for (int i = 0; i < n; ++i) pm[i] += c * psi[i];
+    }
+  }
+}
+
 void Assembler::process(AssemblyContext& ctx, const SweepState& state,
                         int oct, int a, int e, int g, const Vec3& omega,
                         double weight, linalg::SolverKind solver,
-                        bool atomic_phi, bool time_solve) const {
+                        PhiUpdate phi_update, bool time_solve) const {
   const int n = disc_->num_nodes();
   assemble_rhs(ctx, state, oct, a, e, g, omega);
 
@@ -182,8 +197,10 @@ void Assembler::process(AssemblyContext& ctx, const SweepState& state,
 #pragma omp simd
   for (int i = 0; i < n; ++i) out[i] = psi[i];
 
-  double* ph = state.phi->at(e, g);
-  if (atomic_phi) {
+  if (phi_update == PhiUpdate::Plain) {
+    accumulate_flux(state, e, g, n, psi, weight);
+  } else if (phi_update == PhiUpdate::Atomic) {
+    double* ph = state.phi->at(e, g);
     for (int i = 0; i < n; ++i) {
 #pragma omp atomic
       ph[i] += weight * psi[i];
@@ -196,17 +213,6 @@ void Assembler::process(AssemblyContext& ctx, const SweepState& state,
 #pragma omp atomic
           pm[i] += c * psi[i];
         }
-      }
-    }
-  } else {
-#pragma omp simd
-    for (int i = 0; i < n; ++i) ph[i] += weight * psi[i];
-    if (state.phi_hi != nullptr) {
-      for (int m = 1; m < state.moment_count; ++m) {
-        const double c = weight * state.ylm_acc[m];
-        double* pm = (*state.phi_hi)[m - 1].at(e, g);
-#pragma omp simd
-        for (int i = 0; i < n; ++i) pm[i] += c * psi[i];
       }
     }
   }

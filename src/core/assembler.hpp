@@ -91,6 +91,19 @@ struct SweepState {
   int moment_count = 1;
 };
 
+/// How Assembler::process folds its solution into the scalar flux.
+/// Plain adds into phi (callers that give each (element, group) row to one
+/// thread at a time); Atomic adds with atomics (angle-threaded scheme);
+/// None stores psi only and leaves the sum to a later reduction.
+enum class PhiUpdate { Plain, Atomic, None };
+
+/// phi(e, g) += weight * psi and, when the state carries higher moments,
+/// phi_m(e, g) += (weight * Y_m) * psi: one direction's contribution to the
+/// scalar flux. process() and the sweeper's fixed-order reduction share
+/// this, so both round identically.
+void accumulate_flux(const SweepState& state, int e, int g, int n,
+                     const double* psi, double weight);
+
 /// The central computation of the paper (Fig. 2): for one
 /// (octant, angle, element, group), build the small dense system
 ///   A = sigma_t M - Omega . G + sum_{outflow f} Omega . F_f
@@ -110,12 +123,12 @@ class Assembler {
                     int a, int e, int g, const Vec3& omega) const;
 
   /// Full kernel: assemble, solve (or apply the pre-assembled inverse),
-  /// scatter psi, accumulate phi with quadrature weight `weight`.
-  /// atomic_phi selects atomic accumulation (angle-threaded scheme);
-  /// time_solve accumulates pure solve time into ctx.solve_seconds.
+  /// scatter psi, accumulate phi with quadrature weight `weight` as
+  /// `phi_update` says; time_solve accumulates pure solve time into
+  /// ctx.solve_seconds.
   void process(AssemblyContext& ctx, const SweepState& state, int oct, int a,
                int e, int g, const Vec3& omega, double weight,
-               linalg::SolverKind solver, bool atomic_phi,
+               linalg::SolverKind solver, PhiUpdate phi_update,
                bool time_solve) const;
 
   [[nodiscard]] const Discretization& discretization() const { return *disc_; }

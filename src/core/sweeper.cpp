@@ -45,21 +45,32 @@ Sweeper::Sweeper(const Assembler& assembler, SweepConfig config)
   }
 }
 
-void Sweeper::sweep_angle(SweepState state, int oct, int a) {
+Sweeper::Direction Sweeper::direction(const SweepState& state, int oct,
+                                      int a) const {
   const Discretization& disc = assembler_->discretization();
-  const sweep::SweepSchedule& schedule = disc.schedules().get(oct, a);
-  const Vec3 omega = disc.quadrature().direction(oct, a);
-  const double weight = disc.quadrature().weight(a);
+  Direction d;
+  d.state = state;
+  d.state.schedule = &disc.schedules().get(oct, a);
+  if (config_.nmom > 1) {
+    d.state.moment_count = config_.nmom * config_.nmom;
+    d.state.ylm_acc = &ylm_acc_(oct, a, 0);
+    d.state.ylm_src = &ylm_src_(oct, a, 0);
+  }
+  d.omega = disc.quadrature().direction(oct, a);
+  d.weight = disc.quadrature().weight(a);
+  d.oct = oct;
+  d.a = a;
+  return d;
+}
+
+void Sweeper::sweep_angle(const SweepState& state, int oct, int a) {
+  const Direction d = direction(state, oct, a);
+  const sweep::SweepSchedule& schedule = *d.state.schedule;
   const int ng = config_.ng;
   const auto solver = config_.solver;
   const bool time_solve = config_.time_solve;
   const Assembler& assembler = *assembler_;
-  state.schedule = &schedule;
-  if (config_.nmom > 1) {
-    state.moment_count = config_.nmom * config_.nmom;
-    state.ylm_acc = &ylm_acc_(oct, a, 0);
-    state.ylm_src = &ylm_src_(oct, a, 0);
-  }
+  constexpr PhiUpdate plain = PhiUpdate::Plain;
 
   for (int b = 0; b < schedule.num_buckets(); ++b) {
     const std::span<const int> bucket = schedule.bucket(b);
@@ -71,13 +82,15 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         if (config_.loop_order == FluxLayout::AngleElementGroup) {
           for (int i = 0; i < nb; ++i)
             for (int g = 0; g < ng; ++g)
-              assembler.process(contexts_[0], state, oct, a, bucket[i], g,
-                                omega, weight, solver, false, time_solve);
+              assembler.process(contexts_[0], d.state, oct, a, bucket[i], g,
+                                d.omega, d.weight, solver, plain,
+                                time_solve);
         } else {
           for (int g = 0; g < ng; ++g)
             for (int i = 0; i < nb; ++i)
-              assembler.process(contexts_[0], state, oct, a, bucket[i], g,
-                                omega, weight, solver, false, time_solve);
+              assembler.process(contexts_[0], d.state, oct, a, bucket[i], g,
+                                d.omega, d.weight, solver, plain,
+                                time_solve);
         }
         break;
 
@@ -88,8 +101,8 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         for (int i = 0; i < nb; ++i) {
           AssemblyContext& ctx = contexts_[omp_get_thread_num()];
           for (int g = 0; g < ng; ++g)
-            assembler.process(ctx, state, oct, a, bucket[i], g, omega,
-                              weight, solver, false, time_solve);
+            assembler.process(ctx, d.state, oct, a, bucket[i], g, d.omega,
+                              d.weight, solver, plain, time_solve);
         }
         break;
 
@@ -99,37 +112,68 @@ void Sweeper::sweep_angle(SweepState state, int oct, int a) {
         for (int g = 0; g < ng; ++g) {
           AssemblyContext& ctx = contexts_[omp_get_thread_num()];
           for (int i = 0; i < nb; ++i)
-            assembler.process(ctx, state, oct, a, bucket[i], g, omega,
-                              weight, solver, false, time_solve);
+            assembler.process(ctx, d.state, oct, a, bucket[i], g, d.omega,
+                              d.weight, solver, plain, time_solve);
         }
         break;
 
-      case ConcurrencyScheme::ElementsGroups: {
-        // Collapse the element and group loops (the paper's best scheme).
-        // The decode order reproduces the OpenMP collapse semantics for
-        // the configured loop order: AEG iterates groups fastest, AGE
-        // iterates elements fastest.
-        const long total = static_cast<long>(nb) * ng;
-        const bool aeg = config_.loop_order == FluxLayout::AngleElementGroup;
-#pragma omp parallel for schedule(static)
-        for (long idx = 0; idx < total; ++idx) {
-          AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-          const int i = aeg ? static_cast<int>(idx / ng)
-                            : static_cast<int>(idx % nb);
-          const int g = aeg ? static_cast<int>(idx % ng)
-                            : static_cast<int>(idx / nb);
-          assembler.process(ctx, state, oct, a, bucket[i], g, omega, weight,
-                            solver, false, time_solve);
-        }
-        break;
-      }
-
+      case ConcurrencyScheme::ElementsGroups:
       case ConcurrencyScheme::AnglesAtomic:
       case ConcurrencyScheme::AngleBatch:
         UNSNAP_ASSERT(false);  // handled at octant level
         break;
     }
   }
+}
+
+void Sweeper::sweep_directions(const SweepState& state, int oct_begin,
+                               int oct_end) {
+  // Within a sweep, directions are coupled only through the scalar-flux
+  // sum: upwind reads stay inside one direction's psi, lagged faces read
+  // the snapshot taken before the sweep, reflective inflow is refreshed
+  // after it and preassembled operators are read-only. So every direction
+  // can run at once, each on one thread walking its schedule serially and
+  // storing psi only; the sum is deferred to a reduction that adds the
+  // directions in (octant, angle) order, exactly as the serial scheme does.
+  Stopwatch watch;
+  watch.start();
+  const Discretization& disc = assembler_->discretization();
+  const int ne = disc.num_elements();
+  const int n = disc.num_nodes();
+  const int ng = config_.ng;
+  const auto solver = config_.solver;
+  const bool time_solve = config_.time_solve;
+  const Assembler& assembler = *assembler_;
+
+  directions_.clear();
+  for (int oct = oct_begin; oct < oct_end; ++oct)
+    for (int a = 0; a < disc.nang(); ++a)
+      directions_.push_back(direction(state, oct, a));
+  const int nd = static_cast<int>(directions_.size());
+
+#pragma omp parallel
+  {
+    AssemblyContext& ctx = contexts_[omp_get_thread_num()];
+#pragma omp for schedule(dynamic, 1)
+    for (int k = 0; k < nd; ++k) {
+      const Direction& d = directions_[static_cast<std::size_t>(k)];
+      OBS_SPAN("sweep.direction", "oct", d.oct, "a", d.a);
+      const sweep::SweepSchedule& schedule = *d.state.schedule;
+      for (int b = 0; b < schedule.num_buckets(); ++b)
+        for (const int e : schedule.bucket(b))
+          for (int g = 0; g < ng; ++g)
+            assembler.process(ctx, d.state, d.oct, d.a, e, g, d.omega,
+                              d.weight, solver, PhiUpdate::None, time_solve);
+    }
+    OBS_SPAN("sweep.reduce", "elements", ne);
+#pragma omp for schedule(static)
+    for (int e = 0; e < ne; ++e)
+      for (const Direction& d : directions_)
+        for (int g = 0; g < ng; ++g)
+          accumulate_flux(d.state, e, g, n, state.psi->at(d.oct, d.a, e, g),
+                          d.weight);
+  }
+  sweep_seconds_ += watch.stop();
 }
 
 void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
@@ -155,22 +199,10 @@ void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
     // angle. The hot element loop below then just walks the table —
     // without this, each of the |bucket| x |batch| inner iterations
     // re-copied the SweepState and re-derived the quadrature lookups.
-    batch_angles_.clear();
-    batch_angles_.reserve(static_cast<std::size_t>(na));
+    directions_.clear();
     for (int k = 0; k < na; ++k) {
-      const int a = batch[k];
-      BatchAngle ba;
-      ba.state = state;  // per-angle coefficient rows
-      ba.state.schedule = &schedule;
-      if (config_.nmom > 1) {
-        ba.state.moment_count = config_.nmom * config_.nmom;
-        ba.state.ylm_acc = &ylm_acc_(oct, a, 0);
-        ba.state.ylm_src = &ylm_src_(oct, a, 0);
-      }
-      ba.omega = disc.quadrature().direction(oct, a);
-      ba.weight = disc.quadrature().weight(a);
-      ba.a = a;
-      batch_angles_.push_back(ba);
+      directions_.push_back(direction(state, oct, batch[k]));
+      directions_.back().state.schedule = &schedule;
     }
     for (int b = 0; b < schedule.num_buckets(); ++b) {
       const std::span<const int> bucket = schedule.bucket(b);
@@ -188,10 +220,11 @@ void Sweeper::sweep_octant_batched(const SweepState& state, int oct) {
 #pragma omp for schedule(static)
         for (int i = 0; i < nb; ++i) {
           const int e = bucket[i];
-          for (const BatchAngle& ba : batch_angles_) {
+          for (const Direction& d : directions_) {
             for (int g = 0; g < ng; ++g)
-              assembler.process(ctx, ba.state, oct, ba.a, e, g, ba.omega,
-                                ba.weight, solver, false, time_solve);
+              assembler.process(ctx, d.state, oct, d.a, e, g, d.omega,
+                                d.weight, solver, PhiUpdate::Plain,
+                                time_solve);
           }
         }
       }
@@ -211,21 +244,13 @@ void Sweeper::sweep_octant_angles_atomic(const SweepState& state, int oct) {
 #pragma omp parallel for schedule(dynamic, 1)
   for (int a = 0; a < nang; ++a) {
     AssemblyContext& ctx = contexts_[omp_get_thread_num()];
-    SweepState local = state;  // per-angle coefficient rows
-    if (config_.nmom > 1) {
-      local.moment_count = config_.nmom * config_.nmom;
-      local.ylm_acc = &ylm_acc_(oct, a, 0);
-      local.ylm_src = &ylm_src_(oct, a, 0);
-    }
-    const sweep::SweepSchedule& schedule = disc.schedules().get(oct, a);
-    local.schedule = &schedule;
-    const Vec3 omega = disc.quadrature().direction(oct, a);
-    const double weight = disc.quadrature().weight(a);
+    const Direction d = direction(state, oct, a);
+    const sweep::SweepSchedule& schedule = *d.state.schedule;
     for (int b = 0; b < schedule.num_buckets(); ++b) {
       for (const int e : schedule.bucket(b))
         for (int g = 0; g < ng; ++g)
-          assembler_->process(ctx, local, oct, a, e, g, omega, weight,
-                              config_.solver, /*atomic_phi=*/true,
+          assembler_->process(ctx, d.state, oct, a, e, g, d.omega, d.weight,
+                              config_.solver, PhiUpdate::Atomic,
                               config_.time_solve);
     }
   }
@@ -253,6 +278,10 @@ void Sweeper::sweep_begin(SweepState& state) {
 }
 
 void Sweeper::sweep_octant(SweepState& state, int oct) {
+  if (config_.scheme == ConcurrencyScheme::ElementsGroups) {
+    sweep_directions(state, oct, oct + 1);
+    return;
+  }
   OBS_SPAN("sweep.octant", "oct", oct, "elements",
            assembler_->discretization().num_elements());
   Stopwatch watch;
@@ -275,8 +304,12 @@ void Sweeper::sweep_end() {
 
 void Sweeper::sweep(SweepState& state) {
   sweep_begin(state);
-  for (int oct = 0; oct < angular::kOctants; ++oct)
-    sweep_octant(state, oct);
+  if (config_.scheme == ConcurrencyScheme::ElementsGroups) {
+    sweep_directions(state, 0, angular::kOctants);
+  } else {
+    for (int oct = 0; oct < angular::kOctants; ++oct)
+      sweep_octant(state, oct);
+  }
   sweep_end();
 }
 

@@ -13,8 +13,8 @@ using snap::ConcurrencyScheme;
 struct SweepConfig {
   ConcurrencyScheme scheme = ConcurrencyScheme::ElementsGroups;
   linalg::SolverKind solver = linalg::SolverKind::GaussianElimination;
-  /// Loop-collapse decode order; must match the flux layout for the
-  /// paper's matched loop-order/data-layout schemes.
+  /// Element/group loop order of the serial scheme; matches the flux
+  /// layout for the paper's matched loop-order/data-layout runs.
   FluxLayout loop_order = FluxLayout::AngleElementGroup;
   bool time_solve = false;
   int ng = 1;
@@ -25,6 +25,15 @@ struct SweepConfig {
 /// Executes full transport sweeps: all octants, all angles following each
 /// angle's bucketed schedule, threading the configured loops. Owns the
 /// per-thread assembly scratch.
+///
+/// The default elements-groups scheme runs a sweep's directions
+/// concurrently in one parallel region: threads claim whole (octant, angle)
+/// directions, walk each direction's buckets serially storing psi only,
+/// and after the barrier reduce phi per element, adding the directions in
+/// (octant, angle) order. That is the order the serial scheme accumulates
+/// in, so phi is bitwise equal to serial at any thread count, without
+/// atomics. Threads beyond the 8 * nang directions of a sweep (nang per
+/// sweep_octant call) idle until the reduction.
 class Sweeper {
  public:
   Sweeper(const Assembler& assembler, SweepConfig config);
@@ -36,8 +45,10 @@ class Sweeper {
   /// Split sweep for drivers that interleave work between octants (the
   /// pipelined halo exchange): begin zeroes the accumulators, each
   /// sweep_octant solves one octant's angles, end folds up the timers.
-  /// sweep() is exactly begin + the eight octants in order + end, so the
-  /// split path is bitwise-identical to the monolithic one.
+  /// sweep() is begin + the eight octants in order + end (elements-groups
+  /// runs the eight octants as one executor call, which adds phi in the
+  /// same order), so the split path is bitwise-identical to the
+  /// monolithic one.
   void sweep_begin(SweepState& state);
   void sweep_octant(SweepState& state, int oct);
   void sweep_end();
@@ -52,20 +63,23 @@ class Sweeper {
   [[nodiscard]] const SweepConfig& config() const { return config_; }
 
  private:
-  /// Everything the batched kernel needs per batched angle, precomputed
-  /// once per batch outside the parallel region: the angle's SweepState
-  /// (schedule + ylm rows bound), its direction and quadrature weight.
-  struct BatchAngle {
+  /// Everything the kernel needs per direction, precomputed outside the
+  /// parallel region: the direction's SweepState (schedule + ylm rows
+  /// bound), its unit vector and quadrature weight.
+  struct Direction {
     SweepState state;
     Vec3 omega{};
     double weight = 0.0;
+    int oct = 0;
     int a = 0;
   };
 
   const Assembler* assembler_;
   SweepConfig config_;
   std::vector<AssemblyContext> contexts_;  // one per OpenMP thread
-  std::vector<BatchAngle> batch_angles_;   // per-batch scratch (AngleBatch)
+  /// Per-call direction table (AngleBatch: one batch; ElementsGroups: the
+  /// octants being swept).
+  std::vector<Direction> directions_;
   double sweep_seconds_ = 0.0;
   double solve_seconds_ = 0.0;
   /// Spherical-harmonic coefficient tables per (octant, angle):
@@ -73,9 +87,14 @@ class Sweeper {
   NDArray<double, 3> ylm_acc_;
   NDArray<double, 3> ylm_src_;
 
-  void sweep_angle(SweepState state, int oct, int a);
+  [[nodiscard]] Direction direction(const SweepState& state, int oct,
+                                    int a) const;
+  void sweep_angle(const SweepState& state, int oct, int a);
   void sweep_octant_angles_atomic(const SweepState& state, int oct);
   void sweep_octant_batched(const SweepState& state, int oct);
+  /// The elements-groups executor over octants [oct_begin, oct_end).
+  void sweep_directions(const SweepState& state, int oct_begin,
+                        int oct_end);
   /// Grow the per-thread scratch if the OpenMP thread count was raised
   /// after construction (contexts_[omp_get_thread_num()] must never be
   /// out of bounds).

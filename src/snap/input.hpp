@@ -25,7 +25,7 @@ enum class FluxLayout {
 enum class ConcurrencyScheme {
   Serial,
   Elements,          // thread elements within the bucket
-  ElementsGroups,    // collapse elements x groups (the paper's best)
+  ElementsGroups,    // directions concurrent, fixed-order phi reduction
   Groups,            // thread energy groups, elements serial
   AnglesAtomic,      // thread angles in the octant; scalar flux via atomics
   /// Batch the angles that share a schedule (ScheduleSet signature dedup)

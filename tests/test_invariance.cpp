@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "core/preassembly.hpp"
 #include "core/transport_solver.hpp"
 
 namespace unsnap::core {
@@ -28,26 +29,56 @@ snap::Input base_input() {
   return input;
 }
 
-// Extract phi into a canonical (element, group, node) ordering regardless
-// of the storage layout.
+// Extract phi, then any higher flux moments, into a canonical (element,
+// group, node) ordering regardless of the storage layout.
 std::vector<double> canonical_phi(const TransportSolver& solver) {
   const Discretization& disc = solver.discretization();
   const int ng = solver.problem().xs.ng;
   const int n = disc.num_nodes();
+  std::vector<const NodalField*> fields{&solver.scalar_flux()};
+  for (const NodalField& moment : solver.flux_moments())
+    fields.push_back(&moment);
   std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(disc.num_elements()) * ng * n);
-  for (int e = 0; e < disc.num_elements(); ++e)
-    for (int g = 0; g < ng; ++g) {
-      const double* ph = solver.scalar_flux().at(e, g);
-      out.insert(out.end(), ph, ph + n);
-    }
+  out.reserve(fields.size() * disc.num_elements() * ng * n);
+  for (const NodalField* field : fields)
+    for (int e = 0; e < disc.num_elements(); ++e)
+      for (int g = 0; g < ng; ++g) {
+        const double* ph = field->at(e, g);
+        out.insert(out.end(), ph, ph + n);
+      }
   return out;
 }
 
-std::vector<double> solve_with(const snap::Input& input) {
+std::vector<double> solve_with(const snap::Input& input,
+                               bool explicit_inverse = false) {
   TransportSolver solver(input);
+  if (explicit_inverse)
+    solver.enable_preassembly(PreassembledOperator::Mode::ExplicitInverse);
   solver.run();
   return canonical_phi(solver);
+}
+
+// The base deck plus the inputs that reach the scalar-flux sum by other
+// paths: higher flux moments (nmom > 1), reflective inflow refreshed
+// between sweeps, and stored explicit-inverse operators.
+struct Variant {
+  const char* name;
+  snap::Input input;
+  bool explicit_inverse = false;
+};
+
+std::vector<Variant> variants() {
+  snap::Input moments = base_input();
+  moments.nmom = 2;
+  snap::Input reflective = base_input();
+  reflective.twist = 0.0;  // reflection is specular w.r.t. untwisted planes
+  using Bc = snap::Input::Bc;
+  reflective.boundary = {Bc::Reflective, Bc::Vacuum, Bc::Reflective,
+                         Bc::Vacuum,     Bc::Reflective, Bc::Vacuum};
+  return {{"base", base_input()},
+          {"nmom 2", moments},
+          {"reflective", reflective},
+          {"explicit-inverse", base_input(), true}};
 }
 
 double max_diff(const std::vector<double>& a, const std::vector<double>& b) {
@@ -70,24 +101,35 @@ class SchemeInvariance : public ::testing::TestWithParam<SchemeCase> {};
 // must reproduce the serial reference solution essentially bitwise (the
 // sum order inside one (element, group) solve is identical; the
 // atomic-angle and angle-batch schemes reorder the scalar-flux reduction
-// across angles, so they get a looser rounding allowance).
+// across angles, so they get a looser rounding allowance). elements-groups
+// adds the directions in the serial order after the sweep, so it must
+// match exactly.
 TEST_P(SchemeInvariance, MatchesSerialReference) {
-  snap::Input reference = base_input();
-  reference.scheme = snap::ConcurrencyScheme::Serial;
-  reference.layout = snap::FluxLayout::AngleElementGroup;
-  const std::vector<double> phi_ref = solve_with(reference);
+  for (const Variant& variant : variants()) {
+    snap::Input reference = variant.input;
+    reference.scheme = snap::ConcurrencyScheme::Serial;
+    reference.layout = snap::FluxLayout::AngleElementGroup;
+    const std::vector<double> phi_ref =
+        solve_with(reference, variant.explicit_inverse);
 
-  snap::Input candidate = base_input();
-  candidate.scheme = GetParam().scheme;
-  candidate.layout = GetParam().layout;
-  const std::vector<double> phi = solve_with(candidate);
+    snap::Input candidate = variant.input;
+    candidate.scheme = GetParam().scheme;
+    candidate.layout = GetParam().layout;
+    const std::vector<double> phi =
+        solve_with(candidate, variant.explicit_inverse);
 
-  const double tolerance =
-      GetParam().scheme == snap::ConcurrencyScheme::AnglesAtomic ||
-              GetParam().scheme == snap::ConcurrencyScheme::AngleBatch
-          ? 1e-11
-          : 1e-13;
-  EXPECT_LT(max_diff(phi_ref, phi), tolerance);
+    switch (GetParam().scheme) {
+      case snap::ConcurrencyScheme::ElementsGroups:
+        EXPECT_EQ(phi_ref, phi) << variant.name;
+        break;
+      case snap::ConcurrencyScheme::AnglesAtomic:
+      case snap::ConcurrencyScheme::AngleBatch:
+        EXPECT_LT(max_diff(phi_ref, phi), 1e-11) << variant.name;
+        break;
+      default:
+        EXPECT_LT(max_diff(phi_ref, phi), 1e-13) << variant.name;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -134,16 +176,27 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(linalg::SolverKind::GaussianEliminationNoPivot,
                       linalg::SolverKind::LapackLu));
 
+// The default scheme at any thread count, including more threads than the
+// sweep has directions (nang 1: 8 directions on 12 threads), must equal
+// the serial single-thread reference bitwise.
 TEST(ThreadInvariance, ThreadCountDoesNotChangeResults) {
-  std::vector<double> reference;
-  for (const int threads : {1, 2, 8}) {
-    snap::Input input = base_input();
-    input.num_threads = threads;
-    const std::vector<double> phi = solve_with(input);
-    if (reference.empty())
-      reference = phi;
-    else
-      EXPECT_LT(max_diff(reference, phi), 1e-13) << threads << " threads";
+  std::vector<Variant> cases = variants();
+  snap::Input one_angle = base_input();
+  one_angle.nang = 1;
+  cases.push_back({"nang 1", one_angle});
+  for (const Variant& variant : cases) {
+    snap::Input serial = variant.input;
+    serial.scheme = snap::ConcurrencyScheme::Serial;
+    serial.num_threads = 1;
+    const std::vector<double> reference =
+        solve_with(serial, variant.explicit_inverse);
+    for (const int threads : {1, 2, 8, 12}) {
+      snap::Input input = variant.input;
+      input.scheme = snap::ConcurrencyScheme::ElementsGroups;
+      input.num_threads = threads;
+      EXPECT_EQ(reference, solve_with(input, variant.explicit_inverse))
+          << variant.name << " at " << threads << " threads";
+    }
   }
 }
 
@@ -265,8 +318,12 @@ TEST(TwistedLagInvariance, SchemesAndThreadsBitwiseEqualUnderLagging) {
       snap::Input candidate = reference;
       candidate.scheme = scheme;
       candidate.num_threads = threads;
-      EXPECT_LT(max_diff(phi_ref, solve_with(candidate)), 1e-13)
-          << snap::to_string(scheme) << " x " << threads << " threads";
+      const std::vector<double> phi = solve_with(candidate);
+      if (scheme == snap::ConcurrencyScheme::ElementsGroups)
+        EXPECT_EQ(phi_ref, phi) << threads << " threads";
+      else
+        EXPECT_LT(max_diff(phi_ref, phi), 1e-13)
+            << snap::to_string(scheme) << " x " << threads << " threads";
     }
   }
 
